@@ -36,7 +36,6 @@ fuzz:
 	$(GO) test -run=^$$ -fuzz=FuzzServeFrame -fuzztime=$(FUZZTIME) ./internal/tcpverbs
 	$(GO) test -run=^$$ -fuzz=FuzzReadBatch -fuzztime=$(FUZZTIME) ./internal/tcpverbs
 	$(GO) test -run=^$$ -fuzz=FuzzProcfsParsers -fuzztime=$(FUZZTIME) ./internal/procfs
-	$(GO) test -run=^$$ -fuzz=FuzzLeaseRecord$$ -fuzztime=$(FUZZTIME) ./internal/wire
 	$(GO) test -run=^$$ -fuzz=FuzzPushRecord$$ -fuzztime=$(FUZZTIME) ./internal/wire
 	$(GO) test -run=^$$ -fuzz=FuzzHistoryRing$$ -fuzztime=$(FUZZTIME) ./internal/wire
 	$(GO) test -run=^$$ -fuzz=FuzzClaimRecord$$ -fuzztime=$(FUZZTIME) ./internal/wire
@@ -47,9 +46,9 @@ fuzz:
 chaos-smoke:
 	$(GO) run ./cmd/rmbench -exp chaos -quick -seeds 3
 
-# Front-end HA under front-end crash/freeze/partition plans: lease
-# safety (no split-brain), epoch fencing and bounded takeover asserted,
-# non-zero exit on any violation.
+# Front-end HA (warm standby: a one-shard claim table) under front-end
+# crash/freeze/partition plans: claim safety (no split-brain), epoch
+# fencing and bounded takeover asserted, non-zero exit on any violation.
 ha-smoke:
 	$(GO) run ./cmd/rmbench -exp ha -quick -seeds 3
 

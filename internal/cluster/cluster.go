@@ -129,30 +129,20 @@ type Config struct {
 	Pool *connpool.Config
 
 	// Replicas is the number of front-end replicas. Zero or one keeps
-	// the seed topology: a single front-end on node 0, no lease. With
-	// R > 1 the front-end is replicated for availability: replica 0
-	// stays on node 0, replicas 1..R-1 run on nodes
-	// Backends+1..Backends+R-1, and a witness node (Backends+R) hosts
-	// the lease regions. Every replica shadow-probes all back-ends —
-	// free under the RDMA schemes — but only the lease holder's
-	// dispatcher routes; the rest answer NotPrimary.
+	// the seed topology: a single front-end on node 0, no arbitration.
+	// With R > 1 the front-end is replicated: replica 0 stays on node
+	// 0, replicas 1..R-1 run on nodes Backends+1..Backends+R-1, and a
+	// witness node (Backends+R) hosts the claim table (see core.Claim).
+	// Every replica shadow-probes all back-ends — free under the RDMA
+	// schemes — and dispatches only to back-ends whose shard claim it
+	// validly holds; a replica holding nothing answers NotPrimary.
 	Replicas int
 
-	// Lease tunes leased primaryship (defaults derived from Poll; only
-	// meaningful with Replicas > 1).
-	Lease core.LeaseConfig
-
-	// ActiveActive replaces the single lease with per-shard claim
-	// arbitration (Replicas > 1): the back-end space folds onto
-	// Claim.Shards claim words on the witness and EVERY replica
-	// dispatches concurrently, each only to back-ends whose shard claim
-	// it validly holds (see core.Claim). The claim table is the fence —
-	// a replica with no claims answers NotPrimary exactly like a
-	// deposed lease holder.
-	ActiveActive bool
-
-	// Claim tunes claim arbitration (defaults derived from Poll;
-	// Shards defaults to Backends; only meaningful with ActiveActive).
+	// Claim tunes claim arbitration (defaults derived from Poll; only
+	// meaningful with Replicas > 1). Shards defaults to 1: warm
+	// standby, one primary dispatching while the rest shadow-probe.
+	// One shard per back-end makes every replica dispatch concurrently
+	// (active-active).
 	Claim core.ClaimConfig
 
 	// BackendSpecs, when non-empty, makes the back-end fleet
@@ -183,16 +173,15 @@ type BackendSpec struct {
 }
 
 // Replica is one front-end instance: its own monitor (warm load view),
-// policy, dispatcher (fenced by the lease) and lease manager.
+// policy, dispatcher (fenced by its claims) and claim manager.
 type Replica struct {
-	Index int // 0-based; lease holder ID is Index+1
+	Index int // 0-based; claim owner ID is Index+1
 	Node  *simos.Node
 	NIC   *simnet.NIC
 
 	Monitor    *core.Monitor
 	Policy     loadbalance.Policy
 	Dispatcher *httpsim.Dispatcher
-	LeaseMgr   *core.LeaseManager
 	ClaimMgr   *core.ClaimManager
 
 	down bool
@@ -229,16 +218,14 @@ type Cluster struct {
 	Pushers []*core.DeltaPusher
 
 	// Replicated front-end (Cfg.Replicas > 1). FrontEnds[0] aliases
-	// Front/Monitor/Policy/Dispatcher; Witness hosts the lease vault —
-	// or, under ActiveActive, the claim vault.
+	// Front/Monitor/Policy/Dispatcher; Witness hosts the claim vault.
 	FrontEnds  []*Replica
 	Witness    *simos.Node
 	WitnessNIC *simnet.NIC
-	Vault      *core.LeaseVault
 	ClaimVault *core.ClaimVault
 
 	// OnReplicaRestart, if set, runs after a crashed front-end replica
-	// is rebooted with fresh monitor/dispatcher/lease instances, so
+	// is rebooted with fresh monitor/dispatcher/claim instances, so
 	// observers (experiment checkers, exporters) can re-install their
 	// hooks on the new objects.
 	OnReplicaRestart func(r *Replica)
@@ -272,11 +259,11 @@ func New(cfg Config) *Cluster {
 		h := cfg.Hybrid.WithDefaults(cfg.Poll)
 		cfg.Hybrid = &h
 	}
-	if cfg.ActiveActive {
-		// One claim shard per back-end unless told otherwise, resolved
+	if cfg.Replicas > 1 {
+		// One claim shard (warm standby) unless told otherwise, resolved
 		// once so vault, managers and fences agree on the table size.
 		if cfg.Claim.Shards <= 0 {
-			cfg.Claim.Shards = cfg.Backends
+			cfg.Claim.Shards = 1
 		}
 		cfg.Claim = cfg.Claim.WithDefaults(cfg.Poll)
 	}
@@ -364,19 +351,14 @@ func (c *Cluster) wireDispatcher(node *simos.Node, nic *simnet.NIC, pol loadbala
 	return d
 }
 
-// buildHA replicates the front-end: standby replica nodes, the
-// witness with its lease vault, and a lease manager per replica
-// fencing every dispatcher. Replica 0 wraps the objects New already
-// built on node 0.
+// buildHA replicates the front-end: replica nodes, the witness with
+// its claim vault, and a claim manager per replica fencing every
+// dispatcher. Replica 0 wraps the objects New already built on node 0.
 func (c *Cluster) buildHA() {
 	wid := c.Cfg.Backends + c.Cfg.Replicas
 	c.Witness = simos.NewNode(c.Eng, wid, c.Cfg.Node)
 	c.WitnessNIC = c.Fab.Attach(c.Witness)
-	if c.Cfg.ActiveActive {
-		c.ClaimVault = core.NewClaimVault(c.WitnessNIC, c.Cfg.Claim.Shards)
-	} else {
-		c.Vault = core.NewLeaseVault(c.WitnessNIC)
-	}
+	c.ClaimVault = core.NewClaimVault(c.WitnessNIC, c.Cfg.Claim.Shards)
 
 	r0 := &Replica{Index: 0, Node: c.Front, NIC: c.FNIC,
 		Monitor: c.Monitor, Policy: c.Policy, Dispatcher: c.Dispatcher}
@@ -388,17 +370,7 @@ func (c *Cluster) buildHA() {
 		c.FrontEnds = append(c.FrontEnds, r)
 	}
 	for _, r := range c.FrontEnds {
-		c.armArbitration(r)
-	}
-}
-
-// armArbitration fences a replica's dispatcher by whichever protocol
-// the cluster runs: one lease, or the active-active claim table.
-func (c *Cluster) armArbitration(r *Replica) {
-	if c.Cfg.ActiveActive {
 		c.armClaims(r)
-	} else {
-		c.armLease(r)
 	}
 }
 
@@ -429,27 +401,6 @@ func (c *Cluster) startReplica(r *Replica) {
 	}
 }
 
-// armLease starts a replica's lease manager and fences its dispatcher
-// on lease validity.
-func (c *Cluster) armLease(r *Replica) {
-	r.LeaseMgr = core.StartLeaseManager(r.Node, r.NIC, c.Witness.ID,
-		c.Vault.WordMR.Key(), c.Vault.RecMR.Key(),
-		uint16(r.Index+1), c.Cfg.Lease.WithDefaults(c.Cfg.Poll))
-	if r.Dispatcher != nil {
-		lm := r.LeaseMgr
-		eng := c.Eng
-		r.Dispatcher.Fence = func() bool { return lm.Lease.Valid(eng.Now()) }
-	}
-	if r.Monitor != nil {
-		// The adaptive poll controller only decays on the lease holder:
-		// a standby keeps the fast sweep so its load view is warm the
-		// instant it seizes primaryship.
-		lm := r.LeaseMgr
-		eng := c.Eng
-		r.Monitor.LeaseValid = func() bool { return lm.Lease.Valid(eng.Now()) }
-	}
-}
-
 // ShardOf maps a back-end node ID onto its claim shard.
 func (c *Cluster) ShardOf(backend int) int {
 	return (backend - 1) % c.Cfg.Claim.Shards
@@ -476,19 +427,19 @@ func (c *Cluster) armClaims(r *Replica) {
 		p.Claimed = claimed
 	}
 	if r.Monitor != nil {
-		// The adaptive poll controller keeps the fast sweep on any
-		// replica holding claims — it is dispatching and needs a warm
-		// load view; a replica holding nothing may decay like a standby.
+		// The adaptive poll controller may decay only on a replica
+		// holding claims: a replica holding nothing keeps the fast sweep
+		// so its load view is warm the instant it seizes one.
 		r.Monitor.LeaseValid = func() bool { return mgr.HeldValid(eng.Now()) > 0 }
 	}
 }
 
 // restartReplica reboots a crashed front-end replica: fresh monitor
 // (it re-warms its load view probe by probe), fresh fenced dispatcher,
-// fresh lease/claim manager starting with nothing held.
+// fresh claim manager starting with nothing held.
 func (c *Cluster) restartReplica(r *Replica) {
 	c.startReplica(r)
-	c.armArbitration(r)
+	c.armClaims(r)
 	r.down = false
 	if r.Index == 0 {
 		c.Monitor, c.Policy, c.Dispatcher = r.Monitor, r.Policy, r.Dispatcher
@@ -535,12 +486,13 @@ func (c *Cluster) FrontEndIDs() []int {
 	return ids
 }
 
-// Primary returns the replica currently holding a valid lease, or nil
+// Primary returns the replica currently holding a valid claim on
+// every shard — the single primary of a one-shard table — or nil
 // (single-front clusters always return nil; check Dispatcher instead).
 func (c *Cluster) Primary() *Replica {
 	now := c.Eng.Now()
 	for _, r := range c.FrontEnds {
-		if r.LeaseMgr != nil && r.LeaseMgr.Lease.Valid(now) {
+		if r.ClaimMgr != nil && r.ClaimMgr.HeldValid(now) == r.ClaimMgr.Shards() {
 			return r
 		}
 	}
@@ -797,9 +749,9 @@ func (c *Cluster) ApplyFaults(plan faults.Plan) *faults.Injector {
 	}
 	in.OnCrash = func(node int) {
 		if r := c.replicaByNode(node); r != nil {
-			// Node.Crash killed the monitor, dispatcher and lease tasks;
-			// the lease word still names the dead holder, so a standby
-			// seizes a new epoch after TakeoverAfter of silence.
+			// Node.Crash killed the monitor, dispatcher and claim tasks;
+			// the claim words still name the dead holder, so a survivor
+			// seizes a new epoch after ExpireAfter of silence.
 			r.down = true
 			return
 		}

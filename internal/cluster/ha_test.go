@@ -37,12 +37,18 @@ func TestHAWiring(t *testing.T) {
 	if c.Witness.ID != 7 {
 		t.Fatalf("witness node = %d, want 7", c.Witness.ID)
 	}
+	if c.ClaimVault.Shards() != 1 {
+		t.Fatalf("claim table has %d shards, want 1 (warm standby)", c.ClaimVault.Shards())
+	}
 	for _, r := range c.FrontEnds {
-		if r.Monitor == nil || r.Dispatcher == nil || r.LeaseMgr == nil {
+		if r.Monitor == nil || r.Dispatcher == nil || r.ClaimMgr == nil {
 			t.Fatalf("replica %d incompletely wired", r.Index)
 		}
-		if r.Dispatcher.Fence == nil {
+		if r.Dispatcher.BackendFence == nil {
 			t.Fatalf("replica %d dispatcher not fenced", r.Index)
+		}
+		if !r.ClaimMgr.Claims[0].Home {
+			t.Fatalf("replica %d is not home to the lone shard", r.Index)
 		}
 	}
 }
@@ -52,12 +58,12 @@ func TestHAExactlyOnePrimaryAndWarmStandbys(t *testing.T) {
 	c.Run(2 * sim.Second)
 	valid := 0
 	for _, r := range c.FrontEnds {
-		if r.LeaseMgr.Lease.Valid(c.Eng.Now()) {
+		if r.ClaimMgr.Valid(0, c.Eng.Now()) {
 			valid++
 		}
 	}
 	if valid != 1 {
-		t.Fatalf("%d valid lease holders, want exactly 1", valid)
+		t.Fatalf("%d valid claim holders, want exactly 1", valid)
 	}
 	if c.Primary() == nil {
 		t.Fatal("Primary() found nobody")
@@ -114,7 +120,7 @@ func TestHAPrimaryCrashFailsOverAndRestartRejoins(t *testing.T) {
 	if prim == nil {
 		t.Fatal("no primary")
 	}
-	epoch0 := prim.LeaseMgr.Lease.Epoch()
+	epoch0 := prim.ClaimMgr.Claims[0].Epoch()
 
 	crashAt := c.Eng.Now()
 	plan := faults.Plan{Crashes: []faults.Crash{{
@@ -122,8 +128,8 @@ func TestHAPrimaryCrashFailsOverAndRestartRejoins(t *testing.T) {
 	}}}
 	c.ApplyFaults(plan)
 
-	lease := c.Cfg.Lease.WithDefaults(c.Cfg.Poll)
-	c.Run(10*sim.Millisecond + lease.TakeoverAfter + 4*lease.CheckEvery)
+	claim := c.Cfg.Claim
+	c.Run(10*sim.Millisecond + claim.ExpireAfter + 4*claim.CheckEvery)
 	next := c.Primary()
 	if next == nil {
 		t.Fatal("no takeover after the primary crash")
@@ -131,19 +137,19 @@ func TestHAPrimaryCrashFailsOverAndRestartRejoins(t *testing.T) {
 	if next == prim {
 		t.Fatal("crashed replica still primary")
 	}
-	if next.LeaseMgr.Lease.Epoch() <= epoch0 {
-		t.Fatalf("epoch did not advance: %d -> %d", epoch0, next.LeaseMgr.Lease.Epoch())
+	if next.ClaimMgr.Claims[0].Epoch() <= epoch0 {
+		t.Fatalf("epoch did not advance: %d -> %d", epoch0, next.ClaimMgr.Claims[0].Epoch())
 	}
 
-	// After restart the old primary rejoins as a follower with fresh
+	// After restart the old primary rejoins as a standby with fresh
 	// state and must not disturb the new epoch.
 	c.Run(4 * sim.Second)
 	if prim.Down() {
 		t.Fatal("replica not marked restarted")
 	}
 	rejoined := c.replicaByNode(prim.Node.ID)
-	if rejoined.LeaseMgr.Lease.Role() != core.RoleFollower {
-		t.Fatalf("restarted replica should follow, is %v", rejoined.LeaseMgr.Lease.Role())
+	if rejoined.ClaimMgr.Claims[0].Held() {
+		t.Fatalf("restarted replica should stand by, holds %v", rejoined.ClaimMgr.Claims[0])
 	}
 	if got := c.Primary(); got == nil || got.Node.ID != next.Node.ID {
 		t.Fatal("restart disturbed the standing primary")
@@ -193,10 +199,11 @@ func TestHAClientsFollowThePrimary(t *testing.T) {
 		if r == prim || r.Dispatcher == nil {
 			continue
 		}
-		if r.LeaseMgr.Lease.Role() == core.RoleFollower && r.Dispatcher.Routed > 0 && !r.LeaseMgr.Lease.Valid(c.Eng.Now()) {
-			// Routed counts requests routed while it held the lease —
+		cl := r.ClaimMgr.Claims[0]
+		if !cl.Held() && r.Dispatcher.Routed > 0 && !cl.Valid(c.Eng.Now()) {
+			// Routed counts requests routed while it held the claim —
 			// acceptable only if it was primary at some point.
-			if r.LeaseMgr.Lease.Takeovers == 0 {
+			if cl.Takeovers == 0 {
 				t.Fatalf("follower replica %d routed %d requests", r.Index, r.Dispatcher.Routed)
 			}
 		}

@@ -10,23 +10,24 @@ import (
 	"rdmamon/internal/wire"
 )
 
-// Claimed dispatch shards for active-active front-ends.
+// Claimed dispatch shards for replicated front-ends.
 //
-// The lease (lease.go) arbitrates ONE dispatcher; claims generalize it
-// so every live front-end dispatches concurrently. The back-end space
-// is folded onto a small table of shards (backend % Shards), each with
-// its own 64-bit claim word hosted on the witness — wire.PackClaimWord,
-// deliberately the lease-word layout — and a front-end may dispatch to
-// a back-end only while it validly holds that back-end's shard claim.
-// All arbitration is one-sided CAS on the shard word; the witness CPU
-// never participates:
+// The back-end space is folded onto a small table of shards
+// (backend % Shards), each with its own 64-bit claim word hosted on
+// the witness (wire.PackClaimWord), and a front-end may dispatch to a
+// back-end only while it validly holds that back-end's shard claim.
+// One shard is warm-standby HA: a single primary dispatches and the
+// other replicas shadow-probe until its claim is orphaned. One shard
+// per back-end is active-active: every live front-end dispatches
+// concurrently. All arbitration is one-sided CAS on the shard word;
+// the witness CPU never participates:
 //
 //   - renew:   CAS(my word -> my word, stamp+1) extends my validity by
-//     TTL from the instant the CAS was POSTED (the freeze-safe rule the
-//     lease established); a failed renew means the epoch moved under me
+//     TTL from the instant the CAS was POSTED (the freeze-safe rule, see
+//     ClaimManager.round); a failed renew means the epoch moved under me
 //     and I am fenced off the shard.
-//   - claim:   CAS(observed word -> me, epoch+1, 0). Each shard has a
-//     home front-end (shard % owners) that bids the moment it sees the
+//   - claim:   CAS(observed word -> me, epoch+1, 0). Each shard has
+//     home front-ends (see NewClaim) that bid the moment they see the
 //     word vacant; foreigners wait VacantGrace first, so the steady
 //     state converges to the home partition without racing every
 //     vacancy N-ways.
@@ -100,9 +101,10 @@ func (c ClaimConfig) WithDefaults(poll sim.Time) ClaimConfig {
 	return c
 }
 
-// Claim is the per-shard claim state machine for one front-end. Like
-// Lease it is clock-free and outcome-driven: the manager performs the
-// verbs and feeds back what happened, passing now explicitly.
+// Claim is the per-shard claim state machine for one front-end. It is
+// clock-free and outcome-driven: the manager performs the verbs and
+// feeds back what happened, passing now explicitly, so it is exactly
+// unit-testable.
 type Claim struct {
 	Cfg   ClaimConfig
 	Me    uint16 // 1-based front-end ID (0 is "vacant")
@@ -138,10 +140,21 @@ type Claim struct {
 }
 
 // NewClaim builds the machine for shard on front-end me (1-based) in a
-// ring of owners front-ends. The home mapping is shard % owners.
+// ring of owners front-ends. With k = min(owners, Shards), a ring
+// member me is home for shard iff (me-1) % k == shard % k: one home
+// per shard when there are at least as many shards as owners, several
+// when there are fewer. A one-shard table is thus warm standby: every
+// replica bids at once on a vacancy, waits only ExpireAfter on an
+// orphan and never hands back. owners <= 0 makes everyone home; an ID
+// outside the ring (me > owners) is foreign everywhere.
 func NewClaim(me, shard uint16, owners int, cfg ClaimConfig) *Claim {
-	home := owners > 0 && int(shard)%owners == int(me)-1
-	return &Claim{Cfg: cfg.WithDefaults(0), Me: me, Shard: shard, Home: home}
+	cfg = cfg.WithDefaults(0)
+	home := owners <= 0
+	if !home && int(me) <= owners {
+		k := min(owners, cfg.Shards)
+		home = (int(me)-1)%k == int(shard)%k
+	}
+	return &Claim{Cfg: cfg, Me: me, Shard: shard, Home: home}
 }
 
 // Held reports raw holdership (ignoring validity — use Valid to gate
@@ -499,10 +512,13 @@ func (m *ClaimManager) round(tk *simos.Task, next func()) {
 		}
 		// Validity is stamped from the instant the batch is POSTED (one
 		// doorbell, one instant for every WR in it), not from when the
-		// completions are observed — the freeze-safe rule inherited from
-		// the lease: a front-end frozen between post and completion must
-		// not thaw into an extended validity the other front-ends have
-		// already timed out.
+		// completions are observed — the freeze-safe rule: a front-end
+		// frozen between post and completion must not thaw into an
+		// extended validity the other front-ends have already timed out.
+		// No clocks are compared across nodes: the post precedes the
+		// apply at the witness, and a rival's observation of the apply
+		// comes at or after it, so ExpireAfter > TTL guarantees the old
+		// holder's validity lapsed before a new epoch can begin.
 		posted := m.node.Eng.Now()
 		m.nic.RDMACompareSwapBatch(tk, m.casReqs, func(results []simnet.CASResult) {
 			var won []uint16

@@ -30,8 +30,10 @@ func TestClaimConfigDefaultsEnforceSafetyMargin(t *testing.T) {
 	}
 }
 
-// TestClaimHomeMapping pins the home partition: shard s is home to
-// front-end (s % owners) + 1.
+// TestClaimHomeMapping pins the home partition: with at least as many
+// shards as owners, shard s is home to front-end (s % owners) + 1
+// alone; with fewer, every owner me with (me-1) % shards == s % shards
+// is home; owners <= 0 makes everyone home.
 func TestClaimHomeMapping(t *testing.T) {
 	cfg := claimCfg()
 	for shard := uint16(0); shard < 8; shard++ {
@@ -42,6 +44,35 @@ func TestClaimHomeMapping(t *testing.T) {
 				t.Fatalf("fe %d shard %d: home = %v, want %v", me, shard, c.Home, want)
 			}
 		}
+	}
+	for _, tc := range []struct {
+		name           string
+		shards, owners int
+		home           func(me, shard int) bool
+	}{
+		{"owners=0", 4, 0, func(int, int) bool { return true }},
+		{"shards=1 owners=3", 1, 3, func(int, int) bool { return true }},
+		{"shards=2 owners=4", 2, 4, func(me, shard int) bool { return (me-1)%2 == shard }},
+	} {
+		cfg := ClaimConfig{Shards: tc.shards}.WithDefaults(DefaultInterval)
+		owners := max(tc.owners, 3)
+		for shard := 0; shard < tc.shards; shard++ {
+			for me := 1; me <= owners; me++ {
+				c := NewClaim(uint16(me), uint16(shard), tc.owners, cfg)
+				if want := tc.home(me, shard); c.Home != want {
+					t.Fatalf("%s: fe %d shard %d: home = %v, want %v", tc.name, me, shard, c.Home, want)
+				}
+			}
+		}
+	}
+
+	// With owners=0 everyone is home, so a holder never releases its
+	// shard toward a home front-end that does not exist.
+	c := NewClaim(2, 1, 0, cfg)
+	c.Observe(wire.PackClaimWord(wire.ClaimVacantOwner, 0, 0), 0)
+	c.ClaimWon(0)
+	if c.HandbackDue(cfg.HandbackAfter + sim.Second) {
+		t.Fatal("owners=0 holder wants to hand back past HandbackAfter")
 	}
 }
 
@@ -274,6 +305,112 @@ func TestClaimManagerOrphanReclaimAndFence(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestClaimManagerSingleShardHandoff is warm standby on a one-shard
+// table: one of two front-ends acquires and renews, its host freezes,
+// the standby seizes epoch 2 within ExpireAfter plus a few check
+// cycles (no VacantGrace: both are home), and the thawed ex-primary is
+// fenced on its first renewal.
+func TestClaimManagerSingleShardHandoff(t *testing.T) {
+	cfg := ClaimConfig{Shards: 1}.WithDefaults(DefaultInterval)
+	r := newClaimRig(t, 2, cfg)
+	r.eng.RunFor(sim.Second)
+
+	now := r.eng.Now()
+	var primary, standby int
+	switch {
+	case r.mgrs[0].Valid(0, now) && !r.mgrs[1].Claims[0].Held():
+		primary, standby = 0, 1
+	case r.mgrs[1].Valid(0, now) && !r.mgrs[0].Claims[0].Held():
+		primary, standby = 1, 0
+	default:
+		t.Fatalf("want exactly one primary: %v / %v", r.mgrs[0].Claims[0], r.mgrs[1].Claims[0])
+	}
+	pc := r.mgrs[primary].Claims[0]
+	if pc.Renewals == 0 {
+		t.Fatal("primary never renewed")
+	}
+	rec, err := r.vault.Record(0)
+	if err != nil {
+		t.Fatalf("claim record: %v", err)
+	}
+	if rec.Owner != pc.Me || rec.Epoch != pc.Epoch() {
+		t.Fatalf("published record %v does not match primary %v", rec, pc)
+	}
+
+	frozeAt := r.eng.Now()
+	r.nodes[primary].Freeze()
+	r.eng.RunFor(cfg.ExpireAfter + 4*cfg.CheckEvery)
+	sc := r.mgrs[standby].Claims[0]
+	if !sc.Valid(r.eng.Now()) {
+		t.Fatalf("standby did not take over: %v", sc)
+	}
+	if sc.Epoch() != 2 {
+		t.Fatalf("takeover epoch = %d, want 2", sc.Epoch())
+	}
+	if pc.ValidUntil() > frozeAt+cfg.TTL {
+		t.Fatal("frozen primary's validity extended impossibly")
+	}
+
+	r.nodes[primary].Thaw()
+	r.eng.RunFor(4 * cfg.CheckEvery)
+	if pc.Held() || pc.Valid(r.eng.Now()) || pc.Deposals != 1 {
+		t.Fatalf("thawed ex-primary not fenced: %v (deposals %d)", pc, pc.Deposals)
+	}
+	if sc.Handbacks != 0 {
+		t.Fatal("a one-shard holder must never hand back")
+	}
+}
+
+// TestClaimManagerWitnessPartition cuts every front-end off from the
+// witness: the holder's validity lapses (so it stops dispatching) and
+// its renewals fail as transport errors; with the standby partitioned
+// too no epoch changes, and on heal the holder revalidates under the
+// same epoch.
+func TestClaimManagerWitnessPartition(t *testing.T) {
+	cfg := ClaimConfig{Shards: 1}.WithDefaults(DefaultInterval)
+	r := newClaimRig(t, 2, cfg)
+	r.eng.RunFor(sim.Second)
+	var pm *ClaimManager
+	for _, m := range r.mgrs {
+		if m.Valid(0, r.eng.Now()) {
+			pm = m
+		}
+	}
+	if pm == nil {
+		t.Fatal("no primary")
+	}
+	epoch := pm.Claims[0].Epoch()
+
+	r.fab.SetFaults(partitionAll{})
+	r.eng.RunFor(2 * cfg.ExpireAfter)
+	if pm.Valid(0, r.eng.Now()) {
+		t.Fatal("partitioned primary must not remain valid")
+	}
+	if pm.CASErrors == 0 {
+		t.Fatal("renewal attempts should be failing")
+	}
+
+	r.fab.SetFaults(nil)
+	r.eng.RunFor(4 * cfg.CheckEvery)
+	if !pm.Valid(0, r.eng.Now()) {
+		t.Fatal("healed primary should revalidate")
+	}
+	if got := pm.Claims[0].Epoch(); got != epoch {
+		t.Fatalf("epoch moved across a full partition: %d -> %d", epoch, got)
+	}
+}
+
+// partitionAll fails every RDMA operation (and delivers channel sends
+// normally, which the claim path does not use).
+type partitionAll struct{}
+
+func (partitionAll) Channel(from, to, size int) simnet.ChannelVerdict {
+	return simnet.ChannelVerdict{}
+}
+func (partitionAll) RDMA(from, to int) simnet.RDMAVerdict {
+	return simnet.RDMAVerdict{Fail: true}
 }
 
 // TestClaimManagerDoorbellEconomy checks the two-doorbells-per-round

@@ -22,7 +22,7 @@ import (
 //     back-end whose observed load stopped changing has its poll period
 //     decay geometrically toward Max, while any sign of volatility —
 //     a delta push, a changed probe, a probe failure, a non-Healthy
-//     state, a lost lease — snaps it back to the fast sweep at Min.
+//     state, a lost dispatch claim — snaps it back to the fast sweep at Min.
 //
 // The contract the hybrid experiment enforces: the staleness bound of
 // the all-pull sweep is preserved (changes always reach the front-end
@@ -87,9 +87,9 @@ func (pc *PeriodController) Period() sim.Time {
 
 // Observe feeds one observation cycle into the controller and returns
 // the period to use until the next one. Any trouble signal — the load
-// changed, the back-end is not plain Healthy, the monitor's lease is
+// changed, the back-end is not plain Healthy, the monitor's claim is
 // not held — snaps the period to Min within this one cycle; only a
-// quiet, Healthy, leased observation lets the period grow, by Grow up
+// quiet, Healthy, claim-holding observation lets the period grow, by Grow up
 // to Max. The result is always within [Min, Max].
 func (pc *PeriodController) Observe(changed bool, h Health, leaseHeld bool) sim.Time {
 	cfg := pc.Cfg

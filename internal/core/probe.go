@@ -398,10 +398,11 @@ type Monitor struct {
 	// MonitorConfig.Hybrid is set on an RDMA scheme): one writable slot
 	// per back-end that agents push delta records into.
 	Sink *PushSink
-	// LeaseValid, if set, reports whether this monitor currently holds
-	// primaryship. A monitor without the lease never decays a poll
-	// period — a standby keeps the fast sweep so its view is warm at
-	// takeover. nil means "always held" (unleased deployments).
+	// LeaseValid, if set, reports whether this monitor's front-end
+	// currently holds a dispatch claim. A monitor holding none never
+	// decays a poll period — a standby keeps the fast sweep so its view
+	// is warm at takeover. nil means "always held" (unreplicated
+	// deployments).
 	LeaseValid func() bool
 
 	// Decayed counts probe slots skipped because the back-end's

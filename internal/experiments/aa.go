@@ -17,13 +17,15 @@ func init() {
 		func(o Options) *Result { return AA(o).Result() })
 }
 
-// aaReclaimSlack is the allowance, in claim check cycles, added on top
-// of ExpireAfter + VacantGrace for the A2 bound: the orphan's last
-// renewal lands up to one cycle before the fault, a surviving
+// reclaimSlack is the allowance, in claim check cycles, added on top
+// of the orphan patience (ExpireAfter, plus VacantGrace when the
+// reclaimer may be a foreigner) for the A2/H3 bounds: the orphan's
+// last renewal lands up to one cycle before the fault, a surviving
 // front-end observes the final word value up to one cycle later, its
 // bid waits for the next round boundary, and dispatch traffic on its
-// node can delay the claim task by a few more cycles.
-const aaReclaimSlack = 8
+// node can delay the claim task by a few more cycles. EXPERIMENTS.md
+// derives the number.
+const reclaimSlack = 8
 
 // aaDecisionCost is the per-request front-end CPU in the throughput
 // runs. It is deliberately heavy (routing decision + parse at 100us)
@@ -46,7 +48,7 @@ type AAPoint struct {
 	Served       uint64  // chaos-run requests completed end to end
 
 	ThroughputAA float64 // fault-free req/s, N active-active front-ends
-	ThroughputSP float64 // fault-free req/s, same fleet behind one leased primary
+	ThroughputSP float64 // fault-free req/s, same fleet behind one single-primary claim
 	FairMin      float64 // smallest per-front-end share of AA routed requests
 
 	Violations []string
@@ -76,8 +78,9 @@ type AAData struct {
 //	    within ExpireAfter + VacantGrace plus a bounded number of
 //	    check cycles;
 //	A3  the N-front-end active-active fleet sustains at least twice
-//	    the throughput of the same fleet behind one leased primary
-//	    when the front-end decision cost is the bottleneck;
+//	    the throughput of the same fleet behind a one-shard claim
+//	    table (a single primary) when the front-end decision cost is
+//	    the bottleneck;
 //	A4  fairness: with claims converged to the home partition, every
 //	    front-end routes at least 1/(2N) of the active-active run's
 //	    requests;
@@ -114,10 +117,15 @@ func aaFrontEnds(o Options) int {
 }
 
 // aaClaimConfig resolves the claim knobs (flags -claim-shards and
-// -claim-ttl); zeros defer to the cluster defaults.
-func aaClaimConfig(o Options) core.ClaimConfig {
+// -claim-ttl): one shard per back-end unless told otherwise; a zero
+// TTL defers to the cluster default.
+func aaClaimConfig(o Options, backends int) core.ClaimConfig {
+	shards := o.ClaimShards
+	if shards <= 0 {
+		shards = backends
+	}
 	return core.ClaimConfig{
-		Shards: o.ClaimShards,
+		Shards: shards,
 		TTL:    sim.Time(o.ClaimTTLMS) * sim.Millisecond,
 	}
 }
@@ -140,8 +148,7 @@ func aaPoint(o Options, seed int64) AAPoint {
 		Policy:       cluster.PolicyLeastLoad,
 		ProbeTimeout: poll,
 		Replicas:     fes,
-		ActiveActive: true,
-		Claim:        aaClaimConfig(o),
+		Claim:        aaClaimConfig(o, 8),
 	})
 	plan := faults.RandomPlan(seed, faults.ChaosConfig{
 		Backends:    8,
@@ -152,18 +159,19 @@ func aaPoint(o Options, seed int64) AAPoint {
 	})
 	c.ApplyFaults(plan)
 
-	ck := newAAChecker(c, plan)
+	ck := newClaimChecker(c, plan)
 	ck.install()
 
 	pool := c.StartRUBiS(clients, 30*sim.Millisecond, seed+11)
 	c.Run(horizon)
 
+	claim := c.Cfg.Claim // cluster.New resolved the defaults
 	ck.checkOverlaps()
-	ck.checkReclaims(horizon)
+	ck.checkReclaims(horizon, claim.ExpireAfter+claim.VacantGrace+reclaimSlack*claim.CheckEvery)
 	pt := ck.point(seed, pool)
 
 	// Fault-free throughput pair: the same fleet dispatch-bound, first
-	// active-active, then behind a single leased primary.
+	// active-active, then behind a single primary (one claim shard).
 	aaTput, fair, aaFP := aaPerfRun(o, seed, fes, true)
 	spTput, _, spFP := aaPerfRun(o, seed, fes, false)
 	pt.ThroughputAA, pt.ThroughputSP, pt.FairMin = aaTput, spTput, fair
@@ -183,9 +191,10 @@ func aaPoint(o Options, seed int64) AAPoint {
 }
 
 // aaPerfRun measures steady-state throughput of one fleet arrangement:
-// N front-ends dispatching concurrently under claims (active) or the
-// same topology behind one lease-fenced primary. Claims/lease settle
-// during a client-free warm-up so the measurement starts converged.
+// N front-ends dispatching concurrently under one claim shard per
+// back-end (active) or the same topology behind a one-shard table — a
+// single primary. Claims settle during a client-free warm-up so the
+// measurement starts converged.
 // Returns req/s, the smallest per-front-end routed share (active
 // only), and a determinism digest.
 func aaPerfRun(o Options, seed int64, fes int, active bool) (tput, minShare float64, fp string) {
@@ -197,6 +206,10 @@ func aaPerfRun(o Options, seed int64, fes int, active bool) (tput, minShare floa
 	const clients = 96
 	const warmup = 500 * sim.Millisecond
 
+	claim := aaClaimConfig(o, 8)
+	if !active {
+		claim.Shards = 1
+	}
 	c := cluster.New(cluster.Config{
 		Backends:     8,
 		Scheme:       core.RDMASync,
@@ -205,8 +218,7 @@ func aaPerfRun(o Options, seed int64, fes int, active bool) (tput, minShare floa
 		Policy:       cluster.PolicyLeastLoad,
 		ProbeTimeout: poll,
 		Replicas:     fes,
-		ActiveActive: active,
-		Claim:        aaClaimConfig(o),
+		Claim:        claim,
 	})
 	for _, r := range c.FrontEnds {
 		r.Dispatcher.DecisionCost = aaDecisionCost
@@ -267,19 +279,34 @@ type aaFault struct {
 	shards []uint16
 }
 
-// aaRetired accumulates counters of managers and dispatchers replaced
-// by replica restarts.
-type aaRetired struct {
-	routed, fenced, shardFenced              uint64
+// claimTotals accumulates dispatch and claim counters across a run,
+// including those of managers and dispatchers replaced by restarts.
+type claimTotals struct {
+	routed, shardFenced                      uint64
 	takeovers, renewals, deposals, handbacks uint64
 	casErr, readErr, rounds                  uint64
 }
 
-// aaChecker audits one chaos run against invariants A1 and A2.
-type aaChecker struct {
-	c     *cluster.Cluster
-	plan  faults.Plan
-	claim core.ClaimConfig
+// add folds one claim manager's counters in.
+func (t *claimTotals) add(m *core.ClaimManager) {
+	for _, cl := range m.Claims {
+		t.takeovers += cl.Takeovers
+		t.renewals += cl.Renewals
+		t.deposals += cl.Deposals
+		t.handbacks += cl.Handbacks
+	}
+	t.casErr += m.CASErrors
+	t.readErr += m.ReadErrors
+	t.rounds += m.Rounds
+}
+
+// claimChecker audits one run of a replicated cluster against the
+// claim invariants A1 and A2. It serves both the active-active (-exp
+// aa) and the warm-standby (-exp ha, one shard) drivers; each passes
+// its own A2 reclaim bound.
+type claimChecker struct {
+	c    *cluster.Cluster
+	plan faults.Plan
 
 	intervals []*aaInterval          // all validity intervals, in acquire order
 	open      map[[2]int]*aaInterval // (replica, shard) -> open interval
@@ -290,18 +317,17 @@ type aaChecker struct {
 
 	disp    map[int]*httpsim.Dispatcher
 	mgrs    map[int]*core.ClaimManager
-	retired aaRetired
+	retired claimTotals
 
 	reclaimMax sim.Time
 	violations []string
 	violationN int
 }
 
-func newAAChecker(c *cluster.Cluster, plan faults.Plan) *aaChecker {
-	return &aaChecker{
+func newClaimChecker(c *cluster.Cluster, plan faults.Plan) *claimChecker {
+	return &claimChecker{
 		c:         c,
 		plan:      plan,
-		claim:     c.Cfg.Claim, // cluster.New resolved the defaults
 		open:      make(map[[2]int]*aaInterval),
 		lastEpoch: make(map[uint16]uint16),
 		epochSeen: make(map[uint16]bool),
@@ -310,14 +336,14 @@ func newAAChecker(c *cluster.Cluster, plan faults.Plan) *aaChecker {
 	}
 }
 
-func (ck *aaChecker) violate(format string, args ...any) {
+func (ck *claimChecker) violate(format string, args ...any) {
 	ck.violationN++
 	if len(ck.violations) < 8 {
 		ck.violations = append(ck.violations, fmt.Sprintf(format, args...))
 	}
 }
 
-func (ck *aaChecker) install() {
+func (ck *claimChecker) install() {
 	for _, r := range ck.c.FrontEnds {
 		ck.hook(r)
 	}
@@ -326,11 +352,10 @@ func (ck *aaChecker) install() {
 	ck.c.OnReplicaRestart = func(r *cluster.Replica) {
 		if old := ck.disp[r.Index]; old != nil {
 			ck.retired.routed += old.Routed
-			ck.retired.fenced += old.Fenced
 			ck.retired.shardFenced += old.ShardFenced
 		}
 		if old := ck.mgrs[r.Index]; old != nil {
-			ck.retireMgr(old)
+			ck.retired.add(old)
 		}
 		ck.hook(r)
 	}
@@ -375,22 +400,9 @@ func (ck *aaChecker) install() {
 	}
 }
 
-// retireMgr folds a dead claim manager's counters into the totals.
-func (ck *aaChecker) retireMgr(m *core.ClaimManager) {
-	for _, cl := range m.Claims {
-		ck.retired.takeovers += cl.Takeovers
-		ck.retired.renewals += cl.Renewals
-		ck.retired.deposals += cl.Deposals
-		ck.retired.handbacks += cl.Handbacks
-	}
-	ck.retired.casErr += m.CASErrors
-	ck.retired.readErr += m.ReadErrors
-	ck.retired.rounds += m.Rounds
-}
-
 // hook installs the claim observers and the A1 route audit on one
 // replica's (possibly fresh) objects.
-func (ck *aaChecker) hook(r *cluster.Replica) {
+func (ck *claimChecker) hook(r *cluster.Replica) {
 	idx := r.Index
 	mgr := r.ClaimMgr
 	ck.disp[idx] = r.Dispatcher
@@ -442,7 +454,7 @@ func (ck *aaChecker) hook(r *cluster.Replica) {
 
 // checkOverlaps runs A1's interval half after the run: per shard, no
 // two validity intervals from different front-ends may overlap.
-func (ck *aaChecker) checkOverlaps() {
+func (ck *claimChecker) checkOverlaps() {
 	for i, a := range ck.intervals {
 		for _, b := range ck.intervals[i+1:] {
 			if a.replica == b.replica || a.shard != b.shard {
@@ -460,8 +472,7 @@ func (ck *aaChecker) checkOverlaps() {
 // front-end fault validly held must be re-acquired (by any front-end,
 // the restarted victim included) within the reclaim bound. Faults
 // whose window is truncated by the horizon are skipped.
-func (ck *aaChecker) checkReclaims(horizon sim.Time) {
-	bound := ck.claim.ExpireAfter + ck.claim.VacantGrace + aaReclaimSlack*ck.claim.CheckEvery
+func (ck *claimChecker) checkReclaims(horizon, bound sim.Time) {
 	for _, f := range ck.faults {
 		if f.at+bound > horizon {
 			continue
@@ -487,7 +498,37 @@ func (ck *aaChecker) checkReclaims(horizon sim.Time) {
 	}
 }
 
-func (ck *aaChecker) point(seed int64, pool *workload.ClientPool) AAPoint {
+// totals sums the run's dispatch and claim counters, retired ones
+// included.
+func (ck *claimChecker) totals() claimTotals {
+	tot := ck.retired
+	for _, r := range ck.c.FrontEnds {
+		if d := ck.disp[r.Index]; d != nil {
+			tot.routed += d.Routed
+			tot.shardFenced += d.ShardFenced
+		}
+		tot.add(r.ClaimMgr)
+	}
+	return tot
+}
+
+// fingerprint digests everything a run produced, so a replay mismatch
+// catches any nondeterminism, not just one that changed a headline
+// number.
+func (ck *claimChecker) fingerprint(pool *workload.ClientPool) string {
+	tot := ck.totals()
+	spans := ""
+	for _, e := range ck.intervals {
+		spans += fmt.Sprintf("|%d:%d:%d@%d-%d", e.replica, e.shard, e.epoch, e.start, e.end)
+	}
+	return fmt.Sprintf(
+		"served=%d routed=%d sfenced=%d notprim=%d retgt=%d tmo=%d take=%d renew=%d dep=%d hand=%d caserr=%d readerr=%d rounds=%d viol=%d rmax=%d spans=%s",
+		ck.c.TotalServed(), tot.routed, tot.shardFenced, pool.NotPrimary, pool.Retargets, pool.Timeouts,
+		tot.takeovers, tot.renewals, tot.deposals, tot.handbacks, tot.casErr, tot.readErr, tot.rounds,
+		ck.violationN, ck.reclaimMax, spans)
+}
+
+func (ck *claimChecker) point(seed int64, pool *workload.ClientPool) AAPoint {
 	// Stall windows: every freeze on this plan lands on a front-end,
 	// as does every single-node partition against the witness.
 	stalls := len(ck.plan.Freezes)
@@ -496,49 +537,18 @@ func (ck *aaChecker) point(seed int64, pool *workload.ClientPool) AAPoint {
 			stalls++
 		}
 	}
-	pt := AAPoint{
+	return AAPoint{
 		Seed:         seed,
 		Stalls:       stalls,
 		Claims:       len(ck.intervals),
 		ReclaimMaxMS: float64(ck.reclaimMax) / float64(sim.Millisecond),
+		ShardFenced:  ck.totals().shardFenced,
 		NotPrimary:   pool.NotPrimary,
 		Served:       ck.c.TotalServed(),
 		Violations:   ck.violations,
 		ViolationN:   ck.violationN,
+		Fingerprint:  ck.fingerprint(pool),
 	}
-
-	tot := ck.retired
-	for _, r := range ck.c.FrontEnds {
-		if d := ck.disp[r.Index]; d != nil {
-			tot.routed += d.Routed
-			tot.fenced += d.Fenced
-			tot.shardFenced += d.ShardFenced
-		}
-		for _, cl := range r.ClaimMgr.Claims {
-			tot.takeovers += cl.Takeovers
-			tot.renewals += cl.Renewals
-			tot.deposals += cl.Deposals
-			tot.handbacks += cl.Handbacks
-		}
-		tot.casErr += r.ClaimMgr.CASErrors
-		tot.readErr += r.ClaimMgr.ReadErrors
-		tot.rounds += r.ClaimMgr.Rounds
-	}
-	pt.ShardFenced = tot.shardFenced
-
-	// The fingerprint digests everything the chaos run produced, so an
-	// A5 replay mismatch catches any nondeterminism, not just one that
-	// changed a headline number.
-	spans := ""
-	for _, e := range ck.intervals {
-		spans += fmt.Sprintf("|%d:%d:%d@%d-%d", e.replica, e.shard, e.epoch, e.start, e.end)
-	}
-	pt.Fingerprint = fmt.Sprintf(
-		"served=%d routed=%d sfenced=%d fenced=%d notprim=%d retgt=%d tmo=%d take=%d renew=%d dep=%d hand=%d caserr=%d readerr=%d rounds=%d viol=%d rmax=%d spans=%s",
-		pt.Served, tot.routed, tot.shardFenced, tot.fenced, pt.NotPrimary, pool.Retargets, pool.Timeouts,
-		tot.takeovers, tot.renewals, tot.deposals, tot.handbacks, tot.casErr, tot.readErr, tot.rounds,
-		pt.ViolationN, ck.reclaimMax, spans)
-	return pt
 }
 
 // Result renders the active-active table.

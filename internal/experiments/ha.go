@@ -4,26 +4,14 @@ import (
 	"fmt"
 
 	"rdmamon/internal/cluster"
-	"rdmamon/internal/core"
-	"rdmamon/internal/faults"
-	"rdmamon/internal/httpsim"
 	"rdmamon/internal/scenario"
 	"rdmamon/internal/sim"
-	"rdmamon/internal/workload"
 )
 
 func init() {
-	register("ha", "warm-standby front-ends: leased primaryship and epoch fencing under front-end faults",
+	register("ha", "warm-standby front-ends: a one-shard claim table and epoch fencing under front-end faults",
 		func(o Options) *Result { return HA(o).Result() })
 }
-
-// haTakeoverSlack is the allowance, in lease check cycles, added on top
-// of TakeoverAfter for the H3 bound: the deposed holder's last renewal
-// can land up to one cycle before the fault, the follower observes it
-// up to one cycle later, the winning CAS takes a network round trip,
-// and heavy dispatch traffic on the standby's node can delay its lease
-// task by a few more cycles. EXPERIMENTS.md derives the number.
-const haTakeoverSlack = 8
 
 // HAPoint is one seed's run of a 3-replica HA cluster under a fault
 // plan that includes front-end crashes, freezes and witness partitions.
@@ -31,9 +19,9 @@ type HAPoint struct {
 	Seed                   int64
 	FECrash, FEFrz, FEPart int // plan shape (front-end faults)
 
-	Epochs        int     // lease epochs acquired across the fleet
+	Epochs        int     // claim epochs acquired across the fleet
 	TakeoverMaxMS float64 // slowest measured primary-fault -> new-epoch handoff
-	Fenced        uint64  // requests refused by the lease fence
+	Fenced        uint64  // requests refused by the claim fence
 	NotPrimary    uint64  // fenced replies observed at the clients
 	Retargets     uint64  // client rotations to another replica
 	Served        uint64  // requests completed end to end
@@ -51,27 +39,33 @@ type HAData struct {
 }
 
 // HA runs the front-end high-availability harness: for each seed it
-// builds a 3-replica RDMA-Sync cluster (every replica shadow-probing
-// all back-ends, one lease-fenced primary dispatching), applies a
-// randomized fault plan extended with front-end crashes, freezes and
-// witness partitions, drives RUBiS load, and checks:
+// builds a 3-replica RDMA-Sync cluster whose replicas arbitrate one
+// claim shard covering every back-end (all shadow-probe, the holder
+// alone dispatches), applies a randomized fault plan extended with
+// front-end crashes, freezes and witness partitions, drives RUBiS
+// load, and checks:
 //
-//	H1  at most one replica holds a valid lease epoch at any instant
+//	H1  at most one replica holds a valid claim epoch at any instant
 //	    (validity intervals from acquire/renew/depose events must not
 //	    overlap across replicas — no split brain);
-//	H2  no request is ever routed by a replica whose lease is invalid
+//	H2  no request is ever routed by a replica whose claim is invalid
 //	    at that instant (the epoch fence holds even for a deposed or
 //	    frozen-then-thawed primary);
 //	H3  a fault hitting the current primary yields a new epoch within
-//	    TakeoverAfter plus a bounded number of check cycles (warm
+//	    ExpireAfter plus a bounded number of check cycles (warm
 //	    standbys make takeover fast);
-//	H4  lease epochs are globally monotone (each acquisition uses a
+//	H4  claim epochs are globally monotone (each acquisition uses a
 //	    strictly larger epoch than every earlier one);
 //	H5  a fixed seed replays bit-identically (checked for the first
 //	    seed by running it twice);
 //	H6  back-end agents run zero tasks throughout — standby monitoring
 //	    rides the same one-sided reads and costs the monitored nodes
 //	    nothing.
+//
+// H1, H2 and H4 are the active-active A1 at one shard and H3 is A2
+// (every replica is home to the lone shard, so no VacantGrace), so the
+// claim checker shared with -exp aa audits them and reports
+// violations under those names; H5 and H6 are checked here.
 func HA(o Options) *HAData {
 	cp, err := scenario.BuiltinHA().Compile(o.Quick)
 	if err != nil {
@@ -119,283 +113,63 @@ func haPoint(cp *scenario.Compiled, seed int64) HAPoint {
 	plan := cp.Plan(seed)
 	c.ApplyFaults(plan)
 
-	ck := newHAChecker(c, plan)
+	ck := newClaimChecker(c, plan)
 	ck.install()
 
 	pool := c.StartRUBiS(cp.Clients, cp.Think, seed+11)
 	c.Run(horizon)
 
+	// H3: every replica is home to the lone shard, so the reclaim bound
+	// carries no VacantGrace.
+	claim := c.Cfg.Claim // cluster.New resolved the defaults
 	ck.checkOverlaps()
-	ck.checkTakeovers(horizon)
-	return ck.point(seed, pool)
-}
+	ck.checkReclaims(horizon, claim.ExpireAfter+reclaimSlack*claim.CheckEvery)
 
-// haEpoch is one replica's validity interval under one epoch: opened by
-// an acquire, extended by renewals, closed by a deposal (or left at the
-// last renewal's validUntil if the holder died holding it).
-type haEpoch struct {
-	replica    int
-	node       int
-	epoch      uint16
-	start, end sim.Time
-}
-
-// haFault is a front-end fault instant with the primaryship observed
-// just before it landed.
-type haFault struct {
-	at      sim.Time
-	kind    string
-	victim  int
-	primary int // node ID of the pre-fault primary, -1 if none
-}
-
-// haChecker audits one run against invariants H1-H4 and H6.
-type haChecker struct {
-	c     *cluster.Cluster
-	plan  faults.Plan
-	lease core.LeaseConfig
-
-	intervals []*haEpoch       // all validity intervals, in acquire order
-	open      map[int]*haEpoch // replica index -> currently open interval
-	lastEpoch uint16
-
-	faults []haFault
-
-	// Dispatch counters survive replica restarts: the current dispatcher
-	// per replica, plus totals retired when a crash replaced one.
-	disp                         map[int]*httpsim.Dispatcher
-	retiredRouted, retiredFenced uint64
-
-	takeoverMax sim.Time
-	violations  []string
-	violationN  int
-}
-
-func newHAChecker(c *cluster.Cluster, plan faults.Plan) *haChecker {
-	return &haChecker{
-		c:     c,
-		plan:  plan,
-		lease: c.Cfg.Lease.WithDefaults(c.Cfg.Poll),
-		open:  make(map[int]*haEpoch),
-		disp:  make(map[int]*httpsim.Dispatcher),
-	}
-}
-
-func (ck *haChecker) violate(format string, args ...any) {
-	ck.violationN++
-	if len(ck.violations) < 8 {
-		ck.violations = append(ck.violations, fmt.Sprintf(format, args...))
-	}
-}
-
-func (ck *haChecker) install() {
-	for _, r := range ck.c.FrontEnds {
-		ck.hook(r)
-	}
-	// A restarted replica comes back with fresh dispatcher and lease
-	// objects; retire the dead dispatcher's counters and re-hook.
-	ck.c.OnReplicaRestart = func(r *cluster.Replica) {
-		if old := ck.disp[r.Index]; old != nil {
-			ck.retiredRouted += old.Routed
-			ck.retiredFenced += old.Fenced
-		}
-		ck.hook(r)
-	}
-
-	// H3 observers: capture who is primary 1ns before each front-end
-	// fault lands (the injector's events were scheduled first, so an
-	// observer at the fault instant would run after it).
-	fes := make(map[int]bool)
-	for _, id := range ck.c.FrontEndIDs() {
-		fes[id] = true
-	}
-	observe := func(at sim.Time, kind string, victim int) {
-		ck.c.Eng.After(at-1*sim.Nanosecond, func() {
-			f := haFault{at: at, kind: kind, victim: victim, primary: -1}
-			if p := ck.c.Primary(); p != nil {
-				f.primary = p.Node.ID
-			}
-			ck.faults = append(ck.faults, f)
-		})
-	}
-	for _, cr := range ck.plan.Crashes {
-		if fes[cr.Node] {
-			observe(cr.At, "crash", cr.Node)
-		}
-	}
-	for _, fz := range ck.plan.Freezes {
-		if fes[fz.Node] {
-			observe(fz.At, "freeze", fz.Node)
-		}
-	}
-	for _, pa := range ck.plan.Partitions {
-		if len(pa.A) == 1 && fes[pa.A[0]] && len(pa.B) == 1 && pa.B[0] == ck.c.Witness.ID {
-			observe(pa.Start, "partition", pa.A[0])
-		}
-	}
-}
-
-// hook installs the lease observers and the H2 route audit on one
-// replica's (possibly fresh) objects.
-func (ck *haChecker) hook(r *cluster.Replica) {
-	idx, node := r.Index, r.Node.ID
-	l := r.LeaseMgr.Lease
-	ck.disp[idx] = r.Dispatcher
-
-	l.OnAcquire = func(epoch uint16, now, validUntil sim.Time) {
-		if epoch <= ck.lastEpoch {
-			ck.violate("H4 epoch: replica %d acquired epoch %d after epoch %d was taken",
-				idx, epoch, ck.lastEpoch)
-		} else {
-			ck.lastEpoch = epoch
-		}
-		e := &haEpoch{replica: idx, node: node, epoch: epoch, start: now, end: validUntil}
-		ck.open[idx] = e
-		ck.intervals = append(ck.intervals, e)
-	}
-	l.OnRenew = func(epoch uint16, now, validUntil sim.Time) {
-		if e := ck.open[idx]; e != nil && validUntil > e.end {
-			e.end = validUntil
-		}
-	}
-	l.OnDepose = func(epoch uint16, now sim.Time) {
-		if e := ck.open[idx]; e != nil {
-			if e.end > now {
-				e.end = now
-			}
-			ck.open[idx] = nil
-		}
-	}
-
-	// H2: every routing decision must happen under a valid lease. The
-	// fence itself is what should make this true; auditing at OnRoute
-	// (after the fence, before the forward) catches any leak.
-	r.Dispatcher.OnRoute = func(int) {
-		if !l.Valid(ck.c.Eng.Now()) {
-			ck.violate("H2 fence: replica %d routed a request without a valid lease at %v",
-				idx, ck.c.Eng.Now())
-		}
-	}
-}
-
-// checkOverlaps runs H1 after the run: no two validity intervals from
-// different replicas may overlap. Intervals are conservative — a lapsed
-// primary that later revalidated keeps one contiguous interval, which
-// is only possible when nobody else acquired in between.
-func (ck *haChecker) checkOverlaps() {
-	for i, a := range ck.intervals {
-		for _, b := range ck.intervals[i+1:] {
-			if a.replica == b.replica {
-				continue
-			}
-			if a.start < b.end && b.start < a.end {
-				ck.violate("H1 split-brain: replica %d epoch %d [%v, %v] overlaps replica %d epoch %d [%v, %v]",
-					a.replica, a.epoch, a.start, a.end, b.replica, b.epoch, b.start, b.end)
-			}
-		}
-	}
-}
-
-// checkTakeovers runs H3 after the run: every front-end fault that hit
-// the then-primary must be followed by a new epoch within TakeoverAfter
-// plus haTakeoverSlack check cycles. Faults whose window is truncated
-// by the horizon are skipped.
-func (ck *haChecker) checkTakeovers(horizon sim.Time) {
-	bound := ck.lease.TakeoverAfter + haTakeoverSlack*ck.lease.CheckEvery
-	for _, f := range ck.faults {
-		if f.primary < 0 || f.primary != f.victim {
-			continue // fault missed the primary: no handoff owed
-		}
-		if f.at+bound > horizon {
-			continue
-		}
-		var won sim.Time
-		found := false
-		for _, e := range ck.intervals {
-			if e.start > f.at {
-				won, found = e.start, true
-				break
-			}
-		}
-		if !found || won-f.at > bound {
-			ck.violate("H3 takeover: %s of primary node %d at %v, no new epoch within %v",
-				f.kind, f.victim, f.at, bound)
-			continue
-		}
-		if lat := won - f.at; lat > ck.takeoverMax {
-			ck.takeoverMax = lat
-		}
-	}
-}
-
-func (ck *haChecker) point(seed int64, pool *workload.ClientPool) HAPoint {
 	feCrash := 0
-	for _, cr := range ck.plan.Crashes {
-		for _, id := range ck.c.FrontEndIDs() {
+	for _, cr := range plan.Crashes {
+		for _, id := range c.FrontEndIDs() {
 			if cr.Node == id {
 				feCrash++
 			}
 		}
 	}
 	fePart := 0
-	for _, pa := range ck.plan.Partitions {
-		if len(pa.B) == 1 && pa.B[0] == ck.c.Witness.ID {
+	for _, pa := range plan.Partitions {
+		if len(pa.B) == 1 && pa.B[0] == c.Witness.ID {
 			fePart++
 		}
 	}
 	pt := HAPoint{
 		Seed:    seed,
-		FECrash: feCrash, FEFrz: len(ck.plan.Freezes), FEPart: fePart,
+		FECrash: feCrash, FEFrz: len(plan.Freezes), FEPart: fePart,
 		Epochs:        len(ck.intervals),
-		TakeoverMaxMS: float64(ck.takeoverMax) / float64(sim.Millisecond),
+		TakeoverMaxMS: float64(ck.reclaimMax) / float64(sim.Millisecond),
+		Fenced:        ck.totals().shardFenced,
 		NotPrimary:    pool.NotPrimary,
 		Retargets:     pool.Retargets,
-		Served:        ck.c.TotalServed(),
+		Served:        c.TotalServed(),
 		Violations:    ck.violations,
 		ViolationN:    ck.violationN,
 	}
 
-	routed := ck.retiredRouted
-	pt.Fenced = ck.retiredFenced
-	var takeovers, renewals, deposals, casErr uint64
-	var cycles uint64
-	for _, r := range ck.c.FrontEnds {
-		if d := ck.disp[r.Index]; d != nil {
-			routed += d.Routed
-			pt.Fenced += d.Fenced
-		}
-		l := r.LeaseMgr.Lease
-		takeovers += l.Takeovers
-		renewals += l.Renewals
-		deposals += l.Deposals
-		casErr += r.LeaseMgr.CASErrors
-		cycles += r.Monitor.Cycles
-	}
-
 	// H6: standby monitoring must cost the back-ends nothing — under
 	// RDMA-Sync no agent runs a single task, replicated or not.
-	for _, a := range ck.c.Agents {
+	for _, a := range c.Agents {
 		if a != nil {
 			pt.BackendTasks += a.BackendTasks()
 		}
 	}
 	if pt.BackendTasks != 0 {
-		ck.violationN++
-		pt.ViolationN = ck.violationN
+		pt.ViolationN++
 		pt.Violations = append(pt.Violations,
 			fmt.Sprintf("H6 zero-cost: back-end agents run %d tasks under RDMA-Sync", pt.BackendTasks))
 	}
 
-	// The fingerprint digests everything the run produced, so an H5
-	// replay mismatch catches any nondeterminism, not just one that
-	// changed a headline number.
-	epochs := ""
-	for _, e := range ck.intervals {
-		epochs += fmt.Sprintf("|%d:%d@%d-%d", e.replica, e.epoch, e.start, e.end)
+	var cycles uint64
+	for _, r := range c.FrontEnds {
+		cycles += r.Monitor.Cycles
 	}
-	pt.Fingerprint = fmt.Sprintf("served=%d routed=%d fenced=%d notprim=%d retgt=%d tmo=%d take=%d renew=%d dep=%d caserr=%d cyc=%d viol=%d tmax=%d epochs=%s",
-		pt.Served, routed, pt.Fenced, pt.NotPrimary, pt.Retargets, pool.Timeouts,
-		takeovers, renewals, deposals, casErr, cycles, pt.ViolationN, ck.takeoverMax, epochs)
+	pt.Fingerprint = fmt.Sprintf("%s cyc=%d tasks=%d", ck.fingerprint(pool), cycles, pt.BackendTasks)
 	return pt
 }
 
@@ -403,7 +177,7 @@ func (ck *haChecker) point(seed int64, pool *workload.ClientPool) HAPoint {
 func (d *HAData) Result() *Result {
 	r := &Result{
 		ID:    "ha",
-		Title: "Front-end HA: leased primaryship and epoch-fenced dispatch under front-end faults",
+		Title: "Front-end HA: one-shard claimed primaryship and epoch-fenced dispatch under front-end faults",
 		Columns: []string{"seed", "fe(c/f/p)", "epochs", "takeover(ms)", "fenced",
 			"notprim", "retgt", "served", "beTasks", "viol"},
 	}
@@ -430,7 +204,7 @@ func (d *HAData) Result() *Result {
 		r.Failed = true
 		r.Notes = append(r.Notes, fmt.Sprintf("FAILED: %d invariant violation(s)", total))
 	} else {
-		r.Notes = append(r.Notes, "all invariants held: at most one epoch-valid dispatcher at any instant, zero routes under an invalid lease, every primary fault handed off within the takeover bound, epochs stayed globally monotone, the first seed replayed bit-identically, and back-end agents ran zero tasks throughout")
+		r.Notes = append(r.Notes, "all invariants held: at most one epoch-valid dispatcher at any instant, zero routes under an invalid claim, every primary fault handed off within the takeover bound, epochs stayed globally monotone, the first seed replayed bit-identically, and back-end agents ran zero tasks throughout")
 	}
 	return r
 }

@@ -47,8 +47,8 @@ type Reply struct {
 	// Rejected marks a request turned away by admission control.
 	Rejected bool
 	// NotPrimary marks a request refused because the dispatcher does
-	// not hold a valid lease epoch; the client should retry against
-	// another front-end replica.
+	// not validly hold the claim covering the picked back-end; the
+	// client should retry against another front-end replica.
 	NotPrimary bool
 }
 
@@ -154,13 +154,6 @@ type Dispatcher struct {
 	// policy evaluation).
 	DecisionCost sim.Time
 
-	// Fence, if set, is consulted per request before anything else: a
-	// false return means this dispatcher does not hold a valid lease
-	// epoch and must not route — the client gets a NotPrimary reply
-	// and retries elsewhere. This is what makes a deposed or
-	// frozen-then-thawed primary harmless (no split-brain routing).
-	Fence func() bool
-
 	// Admission, if set, is consulted per request; a false return
 	// rejects the request immediately (the client gets a Rejected
 	// reply instead of service).
@@ -172,8 +165,8 @@ type Dispatcher struct {
 	// not forward — the client gets a NotPrimary reply and retries
 	// against another front-end. It also guards a policy returning -1
 	// (no claimed candidates at all). This is the hard guarantee behind
-	// active-active dispatch: the claim filter steers, the fence
-	// enforces.
+	// replicated dispatch — a deposed or frozen-then-thawed front-end
+	// is harmless: the claim filter steers, the fence enforces.
 	BackendFence func(backend int) bool
 
 	// OnRoute, if set, observes every routing decision just after the
@@ -182,8 +175,6 @@ type Dispatcher struct {
 	OnRoute func(backend int)
 
 	Routed uint64
-	// Fenced counts requests refused by the lease fence.
-	Fenced uint64
 	// ShardFenced counts requests refused by the per-backend claim
 	// fence (picked back-end's shard not validly held here).
 	ShardFenced uint64
@@ -231,14 +222,6 @@ func StartDispatcherOn(node *simos.Node, nic *simnet.NIC, policy loadbalance.Pol
 				return
 			}
 			tk.Compute(d.DecisionCost, func() {
-				if d.Fence != nil && !d.Fence() {
-					d.Fenced++
-					nak := Reply{ID: req.ID, Class: req.Class, Issued: req.Issued, NotPrimary: true}
-					d.nic.Send(tk, req.Client, "", 256, nak, func() {
-						tk.Recv(d.port, serve)
-					})
-					return
-				}
 				if d.Admission != nil && !d.Admission() {
 					rej := Reply{ID: req.ID, Class: req.Class, Issued: req.Issued, Rejected: true}
 					d.nic.Send(tk, req.Client, "", 256, rej, func() {

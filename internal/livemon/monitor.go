@@ -58,7 +58,7 @@ type MonitorConfig struct {
 	// Adaptive, when non-nil, layers the change-rate-adaptive poll
 	// period controller on every target: a quiet target's period decays
 	// toward Adaptive.Max, any load-index movement, fetch failure,
-	// Suspect/Degraded health or lost lease snaps it back to Interval
+	// Suspect/Degraded health or lost claim snaps it back to Interval
 	// within one cycle. Works with both polling layouts.
 	Adaptive *AdaptiveConfig
 	// Pool, when non-nil, shares connections across the fleet through a

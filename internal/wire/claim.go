@@ -6,21 +6,24 @@ import (
 	"hash/crc32"
 )
 
-// Dispatch claims generalize the lease (lease.go) from one word to a
-// small table of per-shard words: every back-end shard has its own
-// CAS-able claim word in the witness, and a front-end must hold the
-// shard's claim to dispatch to the back-ends it covers. The layout is
-// deliberately identical to the lease word — owner in the top 16 bits,
-// epoch in the next 16, heartbeat stamp in the low 32 — so the same
-// one-sided CAS protocol (renew by stamp+1, take over by epoch+1,
-// post-time validity stamping) and the same epoch-fencing rules apply
-// word for word. Anything that inspects epochs positionally (e.g. the
-// live transport's fenced CAS) can treat lease and claim words alike.
+// Dispatch claims arbitrate which front-end may dispatch to which
+// back-ends. The claim layer stores two things per shard in registered
+// memory regions on the witness:
 //
-// Like the lease, a claim also has a descriptive *record* — written
-// one-sided by each epoch's winner, CRC-protected, observability only.
-// A torn read of the record is detectable and harmless; the word alone
-// decides ownership.
+//   - the claim *word*: a single 64-bit value holding (owner, epoch,
+//     stamp) — owner in the top 16 bits, epoch in the next 16, heartbeat
+//     stamp in the low 32. It is the authoritative state, mutated only
+//     by one-sided compare-and-swap (renew by stamp+1, take over by
+//     epoch+1), so acquisition and renewal are atomic without involving
+//     the witness CPU. Anything that inspects epochs positionally (e.g.
+//     the live transport's fenced CAS) reads bits 32..47.
+//   - the claim *record*: a CRC-protected descriptive record written
+//     one-sided by each epoch's winner. It exists for observers —
+//     exporters, debuggers — and never decides ownership, so a torn
+//     read of it is detectable and harmless.
+//
+// A one-shard table is warm-standby primaryship; one shard per
+// back-end is active-active dispatch.
 
 // ClaimMagic identifies a claim record ("RMCL").
 const ClaimMagic uint32 = 0x524d434c
@@ -59,8 +62,7 @@ func UnpackClaimWord(w uint64) (owner, epoch uint16, stamp uint32) {
 // still be nonzero: releases preserve it for monotonicity).
 func ClaimVacant(w uint64) bool { return uint16(w>>48) == ClaimVacantOwner }
 
-// WordEpoch extracts the epoch field shared by lease and claim words
-// (bits 32..47). Fencing logic that only needs to compare epochs uses
+// WordEpoch extracts the epoch field of a claim word (bits 32..47). Fencing logic that only needs to compare epochs uses
 // this instead of a full unpack.
 func WordEpoch(w uint64) uint16 { return uint16(w >> 32) }
 

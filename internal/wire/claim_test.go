@@ -26,11 +26,6 @@ func TestClaimWordRoundTrip(t *testing.T) {
 			t.Fatalf("ClaimVacant(%x) wrong for owner %d", w, c.owner)
 		}
 	}
-	// Lease and claim words share the layout: fencing code may treat
-	// them interchangeably.
-	if PackClaimWord(3, 9, 42) != PackLeaseWord(3, 9, 42) {
-		t.Fatal("claim and lease word layouts diverged")
-	}
 }
 
 func TestClaimRecordRoundTrip(t *testing.T) {

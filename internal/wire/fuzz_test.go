@@ -244,10 +244,7 @@ func FuzzHistoryRing(f *testing.F) {
 	})
 }
 
-// FuzzLeaseRecord mirrors FuzzLoadRecord for the lease codec: Decode
-// must never panic, never accept a bad checksum, and accepted records
-// must round-trip bit-for-bit.
-// FuzzClaimRecord: like FuzzLeaseRecord, for the per-shard dispatch
+// FuzzClaimRecord mirrors FuzzLoadRecord for the per-shard dispatch
 // claim record. Decode must never panic, never accept a corrupt
 // record, and a decoded record must round-trip losslessly — as must
 // the packed claim word the record describes.
@@ -300,52 +297,6 @@ func FuzzClaimRecord(f *testing.F) {
 		}
 		if ClaimVacant(w) != (rec.Owner == ClaimVacantOwner) {
 			t.Fatalf("ClaimVacant disagrees with owner field")
-		}
-	})
-}
-
-func FuzzLeaseRecord(f *testing.F) {
-	valid := LeaseRecord{Holder: 2, Epoch: 7, Heartbeat: 99, GrantNS: 5e9, TTLNS: 3e8}
-	enc := valid.Encode()
-	f.Add(enc)
-	f.Add(enc[:LeaseRecordSize-1])
-	bad := append([]byte(nil), enc...)
-	bad[0] ^= 0xFF
-	f.Add(bad)
-	torn := append([]byte(nil), enc...)
-	torn[LeaseRecordSize/2] ^= 0x55
-	f.Add(torn)
-	f.Add([]byte{})
-	f.Add(bytes.Repeat([]byte{0xA5}, LeaseRecordSize))
-
-	f.Fuzz(func(t *testing.T, data []byte) {
-		rec, err := DecodeLease(data)
-		if err != nil {
-			switch err {
-			case ErrShort, ErrMagic, ErrVersion, ErrChecksum, ErrReserved:
-			default:
-				t.Fatalf("undocumented decode error: %v", err)
-			}
-			return
-		}
-		_ = rec.String()
-		re := rec.Encode()
-		if !bytes.Equal(re, data[:LeaseRecordSize]) {
-			t.Fatalf("round trip mismatch:\n in=%x\nout=%x", data[:LeaseRecordSize], re)
-		}
-		re2, err := DecodeLease(re)
-		if err != nil {
-			t.Fatalf("re-decode failed: %v", err)
-		}
-		if re2 != rec {
-			t.Fatalf("re-decode mismatch: %+v != %+v", re2, rec)
-		}
-		// The word form must survive its own round trip with the same
-		// fields the record carries.
-		w := PackLeaseWord(rec.Holder, rec.Epoch, rec.Heartbeat)
-		h, e, hb := UnpackLeaseWord(w)
-		if h != rec.Holder || e != rec.Epoch || hb != rec.Heartbeat {
-			t.Fatalf("lease word round trip mismatch")
 		}
 	})
 }
